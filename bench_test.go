@@ -659,9 +659,10 @@ func BenchmarkShardedWarmLoad(b *testing.B) {
 // BenchmarkShardLocalEdit is the shard-routed counterpart of
 // BenchmarkRepResultEdit: the same single-site edit derivation, but the
 // base is sharded and the delta's nodes are owned by one shard, so the
-// derivation clones and re-times only that shard's subgraph and re-walks
-// only its endpoint cones (compare the two to see the shard-local win;
-// the full-graph path re-walks every cone of the design).
+// session clones and re-times only that shard's subgraph. Both paths
+// re-walk only the cones the edit reaches, so the pair now measures what
+// sharding saves on the session alone (the full graph is still cloned
+// and its state vectors copied on both paths).
 func BenchmarkShardLocalEdit(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {
@@ -835,8 +836,10 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 
 // BenchmarkRepResultEdit measures the engine's delta-derivation path on a
 // cache miss: clone + incremental re-timing + snapshot + extractor
-// rebuild (cheaper than a build, pricier than a raw session Apply — the
-// extractor's cone walks dominate).
+// derivation (cheaper than a build, pricier than a raw session Apply).
+// Only the cones of endpoints the edit reaches re-walk, so the cost is
+// the O(design) copies: the session's fanout adjacency, the graph clone
+// and the state-vector snapshots.
 func BenchmarkRepResultEdit(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {

@@ -150,7 +150,10 @@ func permute(e *emitter, dst, src string, w int, rng *rand.Rand) {
 
 func genCrypto(spec Spec, rng *rand.Rand) string {
 	e := &emitter{}
-	width := 16 + 16*spec.Scale // block width, multiple of 4
+	// Block width, a multiple of 4. It stops growing at 64 bits, the
+	// widest signal (and sized literal) the frontend supports, so scale 4
+	// and beyond grow only the round count.
+	width := min(16+16*spec.Scale, 64)
 	rounds := 3 + spec.Scale*2
 	nSbox := width / 4
 	e.f("// %s: substitution-permutation crypto pipeline (%d-bit, %d rounds)", spec.Name, width, rounds)

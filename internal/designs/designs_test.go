@@ -59,6 +59,24 @@ func TestEveryDesignElaboratesAndBlasts(t *testing.T) {
 	}
 }
 
+// TestEverySpecParsesAtEveryScale: every benchmark spec, regenerated at
+// each scale 1-4, must parse and elaborate — the cold-build benchmark
+// traffic draws revisions across exactly that range.
+func TestEverySpecParsesAtEveryScale(t *testing.T) {
+	for _, spec := range All() {
+		for scale := 1; scale <= 4; scale++ {
+			spec.Scale = scale
+			parsed, err := verilog.Parse(Generate(spec))
+			if err != nil {
+				t.Fatalf("%s scale %d: parse: %v", spec.Name, scale, err)
+			}
+			if _, err := elab.Elaborate(parsed); err != nil {
+				t.Fatalf("%s scale %d: elaborate: %v", spec.Name, scale, err)
+			}
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	spec, _ := ByName("syscaes")
 	if Generate(spec) != Generate(spec) {

@@ -388,11 +388,15 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 		return nil, err
 	}
 	an, arr := inc.Snapshot()
+	ext, err := rr.deriveExtractor(g, an.At(arr, 0), inc, delta, nil)
+	if err != nil {
+		return nil, err
+	}
 	res := &RepResult{
 		Graph:   g,
 		An:      an,
 		Arrival: arr,
-		Ext:     features.NewExtractor(g, an.At(arr, 0)),
+		Ext:     ext,
 		eng:     eng,
 		key:     key,
 	}
@@ -400,6 +404,46 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 		res.shLazy = &lazyShards{k: k, auto: auto}
 	}
 	return res, nil
+}
+
+// deriveExtractor is the extractor half of both edit derivations (the
+// full-graph path above and the shard-local one in shard.go). inc is the
+// session the delta was applied through — on the whole edited design, or
+// on one shard of it — and delta is in that session's node ids. Only the
+// endpoints reachable forward from a node the delta rewrites (a
+// set-fanin or set-op target) re-walk their cones, with the cone kernel,
+// on the session's graph; every other cone is copied from the base
+// extractor, and the rank percentiles re-rank over the edited arrivals.
+// eps maps the session graph's endpoint indices to g2's (nil when the
+// session graph is g2 itself).
+//
+// No other cone can change. An inserted node joins the graph only as the
+// new fanin of a later set-fanin target. And a cone that lost a path
+// through a rewritten node still contains a rewritten node: walk the lost
+// path from its end back to the last rewritten node on it — every edge
+// after that node is unedited, so the node still reaches the endpoint.
+// Hence an endpoint whose edited cone contains no rewritten node had none
+// before the edit either, and its cone's edges are all unedited.
+func (rr *RepResult) deriveExtractor(g2 *bog.Graph, r2 *sta.Result, inc *sta.Incremental, delta bog.Delta, eps []int) (*features.Extractor, error) {
+	var seeds []bog.NodeID
+	for _, e := range delta {
+		if e.Kind != bog.EditInsert {
+			seeds = append(seeds, e.Node)
+		}
+	}
+	baseCones, _ := rr.Ext.State()
+	cones := append([]sta.ConeInfo(nil), baseCones...)
+	if len(seeds) > 0 {
+		w := sta.NewConeWalker(inc.G)
+		for _, ep := range w.EndpointsReaching(seeds, inc.Fanout) {
+			c := w.Cone(ep)
+			if eps != nil {
+				ep = eps[ep]
+			}
+			cones[ep] = c
+		}
+	}
+	return features.NewExtractorFromState(g2, r2, cones, features.RankPercentiles(r2.EndpointAT))
 }
 
 type repEntry struct {

@@ -1,6 +1,6 @@
 // Shard-local edit derivation: RepResult.Edit on a sharded base routes a
 // delta to the one shard that exclusively owns every node it touches,
-// re-timing and re-walking only that shard instead of the whole design.
+// re-timing only that shard instead of the whole design.
 //
 // Soundness rests on the partition's ownership closure (package part): a
 // node exclusively owned by shard s has every transitive consumer, every
@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"rtltimer/internal/bog"
-	"rtltimer/internal/features"
 	"rtltimer/internal/part"
 	"rtltimer/internal/sta"
 )
@@ -107,8 +106,8 @@ func (rr *RepResult) routeShard(p *part.Partition, delta bog.Delta) int {
 // deriveShard computes the edited evaluation through shard s: clone and
 // incrementally re-time only the shard subgraph, apply the delta
 // structurally to a clone of the full graph, scatter the shard's updated
-// per-node state over copies of the base vectors, and patch the extractor
-// by re-walking only the shard's endpoint cones.
+// per-node state over copies of the base vectors, and derive the extractor
+// from the shard session (deriveExtractor).
 func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
 	p := sh.P
 	shard := &p.Shards[s]
@@ -209,16 +208,11 @@ func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta
 	}
 	r2 := an2.At(arr2, 0)
 
-	// Extractor patch: cones outside this shard cannot have changed (their
-	// adjacency is untouched), so only the shard's endpoints re-walk; the
-	// rank percentiles re-rank globally through the same helper
-	// NewExtractor uses.
-	baseCones, _ := rr.Ext.State()
-	cones := append([]sta.ConeInfo(nil), baseCones...)
-	for _, ep := range shard.Endpoints {
-		cones[ep] = sta.InputCone(g2, ep)
-	}
-	ext2, err := features.NewExtractorFromState(g2, r2, cones, features.RankPercentiles(r2.EndpointAT))
+	// Extractor: ownership closure keeps every endpoint the delta reaches
+	// inside this shard, and the shard's edited subgraph holds each such
+	// endpoint's whole cone, so the affected cones re-walk on the session
+	// graph and map back through the shard's endpoint list.
+	ext2, err := rr.deriveExtractor(g2, r2, inc, local, shard.Endpoints)
 	if err != nil {
 		return nil, err
 	}

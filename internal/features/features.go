@@ -30,13 +30,16 @@ type Extractor struct {
 	total     float64
 }
 
-// NewExtractor precomputes cones and rank percentiles.
+// NewExtractor precomputes cones and rank percentiles. Every endpoint's
+// cone is walked through one cone kernel (sta.ConeWalker), so the sweep
+// allocates its visited marks once for the whole design.
 func NewExtractor(g *bog.Graph, r *sta.Result) *Extractor {
 	e := &Extractor{G: g, R: r}
 	e.countCells()
 	e.Cones = make([]sta.ConeInfo, len(g.Endpoints))
+	w := sta.NewConeWalker(g)
 	for ep := range g.Endpoints {
-		e.Cones[ep] = sta.InputCone(g, ep)
+		e.Cones[ep] = w.Cone(ep)
 	}
 	e.RankPct = RankPercentiles(r.EndpointAT)
 	return e
@@ -44,8 +47,8 @@ func NewExtractor(g *bog.Graph, r *sta.Result) *Extractor {
 
 // RankPercentiles computes each endpoint's rank percentile of its pseudo
 // arrival time — the design-level "rank_pct" feature. Shared by
-// NewExtractor and the engine's shard-local edit derivation, which patches
-// an extractor without re-walking every cone but must rank identically.
+// NewExtractor and the engine's edit derivations, which re-walk only the
+// cones an edit can change but must rank identically.
 func RankPercentiles(endpointAT []float64) []float64 {
 	order := make([]int, len(endpointAT))
 	for i := range order {
@@ -63,11 +66,11 @@ func RankPercentiles(endpointAT []float64) []float64 {
 }
 
 // State exposes the extractor's precomputed per-endpoint vectors for
-// persistence (the engine's on-disk representation cache). The input-cone
-// walks behind Cones are the expensive part of extractor construction —
-// one backward BFS per endpoint — which is exactly what a warm cache load
-// wants to skip. The returned slices alias the extractor's state and must
-// be treated as read-only.
+// persistence (the engine's on-disk representation cache) and for edit
+// derivations, which copy the cones an edit cannot change. The input-cone
+// walks behind Cones — one backward walk per endpoint — are the part of
+// extractor construction a warm cache load skips. The returned slices
+// alias the extractor's state and must be treated as read-only.
 func (e *Extractor) State() (cones []sta.ConeInfo, rankPct []float64) {
 	return e.Cones, e.RankPct
 }

@@ -320,6 +320,40 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestHostileNestingIs4xx: an inline source of a million nested
+// parentheses — past the depth that used to overflow the parser's stack
+// and kill the whole process — fails its own request with a 400, and the
+// same daemon then serves a warm answer byte-identical to the one it gave
+// before, without a new build.
+func TestHostileNestingIs4xx(t *testing.T) {
+	name := benchNames(t, 1)[0]
+	svc := newService(t, Config{Jobs: 2})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	c := srv.Client()
+
+	warm := EvalRequest{Design: DesignRef{Bench: name}, Period: 0.5}
+	code, before := postJSON(t, c, srv.URL+"/eval", warm)
+	if code != http.StatusOK {
+		t.Fatalf("/eval: %d %s", code, before)
+	}
+	const depth = 1_000_000
+	src := "module m(input a, output y);\n  assign y = " +
+		strings.Repeat("(", depth) + "a" + strings.Repeat(")", depth) + ";\nendmodule\n"
+	code, body := postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Src: src}, Period: 0.5})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "nesting deeper than") {
+		t.Fatalf("hostile nesting: %d %.200s", code, body)
+	}
+	builds := svc.Stats().Stats.Builds
+	code, after := postJSON(t, c, srv.URL+"/eval", warm)
+	if code != http.StatusOK || !bytes.Equal(before, after) {
+		t.Fatalf("warm answer after the hostile request: %d, identical=%v", code, bytes.Equal(before, after))
+	}
+	if got := svc.Stats().Stats.Builds; got != builds {
+		t.Fatalf("builds %d -> %d: the warm answer must not rebuild", builds, got)
+	}
+}
+
 // TestDaemonLoadHarness is the ISSUE's load harness: N concurrent clients
 // x M designs x mixed eval/sweep/fmax/edit queries over real HTTP, every
 // response bit-identical to a serial oracle, with exact build counts —

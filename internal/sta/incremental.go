@@ -121,9 +121,20 @@ func (s *Incremental) buildAdjacency() {
 			counts[nd.Fanin[j]]++
 		}
 	}
-	for i := range counts {
-		if counts[i] > 0 {
-			s.fanout[i] = make([]bog.NodeID, 0, counts[i])
+	// Every list starts as a capacity-capped window of one backing array:
+	// one allocation instead of one per driver. A list that later grows
+	// (fanoutInsert, an insert edit) outgrows its window and reallocates
+	// alone, so no list can write into its neighbour's window.
+	total := int32(0)
+	for _, c := range counts {
+		total += c
+	}
+	backing := make([]bog.NodeID, total)
+	off := int32(0)
+	for i, c := range counts {
+		if c > 0 {
+			s.fanout[i] = backing[off : off : off+c]
+			off += c
 		}
 	}
 	for i := range s.G.Nodes {
@@ -141,6 +152,11 @@ func (s *Incremental) buildAdjacency() {
 
 // FanoutCount returns node n's current fanout edge count.
 func (s *Incremental) FanoutCount(n bog.NodeID) int { return int(s.fanoutCnt[n]) }
+
+// Fanout returns node n's current consumers, one entry per fanin slot,
+// in (consumer id, slot) order. The slice aliases session state: it is
+// read-only and valid until the next Apply.
+func (s *Incremental) Fanout(n bog.NodeID) []bog.NodeID { return s.fanout[n] }
 
 // EndpointCount returns how many timing endpoints node n drives. Edits
 // that change a node's logic function (fanin re-pointing, op swaps) are

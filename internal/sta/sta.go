@@ -137,45 +137,6 @@ func (r *Result) SamplePaths(g *bog.Graph, ep, k int, rng RandSource) []Path {
 	return paths
 }
 
-// ConeInfo summarizes an endpoint's input cone (paper Table 2 cone-level
-// features).
-type ConeInfo struct {
-	Nodes       int // combinational nodes in the cone
-	DrivingRegs int // distinct register bits driving the cone
-	Inputs      int // distinct primary-input bits driving the cone
-}
-
-// InputCone walks backward from the endpoint's D pin to all timing sources.
-func InputCone(g *bog.Graph, ep int) ConeInfo {
-	var info ConeInfo
-	seen := map[bog.NodeID]bool{}
-	stack := []bog.NodeID{g.Endpoints[ep].D}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		nd := &g.Nodes[cur]
-		switch nd.Op {
-		case bog.RegQ:
-			info.DrivingRegs++
-			continue
-		case bog.Input:
-			info.Inputs++
-			continue
-		case bog.Const0, bog.Const1:
-			continue
-		}
-		info.Nodes++
-		for j := 0; j < nd.NumFanin(); j++ {
-			stack = append(stack, nd.Fanin[j])
-		}
-	}
-	return info
-}
-
 // SampleCount returns the number of random paths to draw for an endpoint:
 // proportional to the number of driving registers (paper §3.2), clamped to
 // [min, max].

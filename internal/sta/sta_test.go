@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -184,6 +185,28 @@ func TestInputCone(t *testing.T) {
 		return
 	}
 	t.Fatal("no s3[7] endpoint found")
+}
+
+// TestConeWalkerEpochWrap: when the walker's uint32 epoch wraps, the
+// visited array is cleared, so stamps left by the walks before the wrap
+// cannot mark nodes visited in the walks after it.
+func TestConeWalkerEpochWrap(t *testing.T) {
+	g := buildGraph(t, pipelineSrc, bog.SOG)
+	w := NewConeWalker(g)
+	for ep := range g.Endpoints {
+		w.Cone(ep) // stamp every node reachable from any endpoint
+	}
+	for i := range w.mark {
+		if w.mark[i] != 0 {
+			w.mark[i] = 1 // the stamp the post-wrap epoch reuses
+		}
+	}
+	w.epoch = math.MaxUint32
+	for ep := range g.Endpoints {
+		if got, want := w.Cone(ep), InputCone(g, ep); got != want {
+			t.Fatalf("ep %d after wrap: kernel %+v, oracle %+v", ep, got, want)
+		}
+	}
 }
 
 func TestVariantTimingDiffers(t *testing.T) {

@@ -6,9 +6,18 @@ import (
 
 // Parser is a recursive-descent parser for the supported Verilog subset.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // current nesting of expressions and statements (enter/leave)
 }
+
+// maxNesting bounds how deeply expressions (parentheses, concatenations,
+// selects, ternaries, unary operator chains) and statements may nest.
+// Every nesting level is a few frames of parser recursion, so without a
+// bound a hostile source of deeply nested parentheses overflows the
+// goroutine stack — a fatal error no recover can contain. Hand-written
+// and generated RTL stays far below the bound.
+const maxNesting = 1000
 
 // ParseError is a syntax error with source position.
 type ParseError struct {
@@ -58,6 +67,18 @@ func (p *Parser) errf(format string, args ...any) error {
 	t := p.cur()
 	return &ParseError{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
 }
+
+// enter descends one nesting level, failing with a ParseError past
+// maxNesting; every successful enter is paired with a deferred leave.
+func (p *Parser) enter() error {
+	if p.depth >= maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) expect(k TokenKind) (Token, error) {
 	if p.cur().Kind != k {
@@ -498,6 +519,10 @@ func (p *Parser) parseStmtOrBlock() ([]Stmt, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().Kind {
 	case TokSemi:
 		p.next()
@@ -731,6 +756,10 @@ func (p *Parser) parseExpr() (Expr, error) {
 }
 
 func (p *Parser) parseTernary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	cond, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
@@ -772,6 +801,10 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().Kind {
 	case TokNot:
 		t := p.next()

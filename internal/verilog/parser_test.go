@@ -1,6 +1,7 @@
 package verilog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -341,5 +342,48 @@ func TestQuickNumbersRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParseNestingBound: every recursive construct — parentheses,
+// concatenations, selects, ternary chains, unary operator chains and
+// nested statements — fails with a ParseError past maxNesting instead of
+// recursing until the goroutine stack overflows (which no recover can
+// contain). The million-deep parentheses case is past the depth that
+// overflowed the stack before the bound existed.
+func TestParseNestingBound(t *testing.T) {
+	wrap := func(body string) string {
+		return "module m(input clk, input a, output reg y);\n" + body + "\nendmodule\n"
+	}
+	assign := func(expr string) string { return wrap("  assign y = " + expr + ";") }
+	nest := func(open, inner, close string, n int) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	deep := maxNesting + 1
+	hostile := map[string]string{
+		"parens":   assign(nest("(", "a", ")", 1_000_000)),
+		"concat":   assign(nest("{", "a", "}", deep)),
+		"select":   assign(strings.Repeat("a[", deep) + "0" + strings.Repeat("]", deep)),
+		"ternary":  assign(strings.Repeat("a ? a : ", deep) + "a"),
+		"unary":    assign(strings.Repeat("~", deep) + "a"),
+		"if-chain": wrap("  always @(posedge clk) " + strings.Repeat("if (a) ", deep) + "y <= a;"),
+		"blocks":   wrap("  always @(posedge clk) " + nest("begin ", "y <= a;", " end", deep)),
+	}
+	for name, src := range hostile {
+		_, err := Parse(src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nesting deeper than") {
+			t.Errorf("%s: got %v, want a nesting ParseError", name, err)
+		}
+	}
+	// Legitimately nested sources well inside the bound still parse.
+	for name, src := range map[string]string{
+		"parens":  assign(nest("(", "a", ")", 200)),
+		"ternary": assign(strings.Repeat("a ? a : ", 200) + "a"),
+		"unary":   assign(strings.Repeat("~", 200) + "a"),
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("%s within the bound: %v", name, err)
+		}
 	}
 }

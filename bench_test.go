@@ -871,11 +871,14 @@ func BenchmarkRepResultEdit(b *testing.B) {
 }
 
 // BenchmarkDaemonWarmQuery measures one fully warm rtltimerd /eval round
-// trip — JSON decode, four memory-tier hits, endpoint slack loops, JSON
-// encode — over real HTTP. This is the number the resident daemon exists
-// for: the marginal cost of a timing query once the representations are
-// resident (the one-shot CLI pays the builds, or at best the disk loads,
-// every invocation).
+// trip — JSON decode, a corpus-table lookup, four memory-tier hits, four
+// allocation-free endpoint slack loops, four memoized arrival digests,
+// JSON encode — over real HTTP. This is the number the resident daemon
+// exists for: the marginal cost of a timing query once the representations
+// are resident (the one-shot CLI pays the builds, or at best the disk
+// loads, every invocation). ~110 µs and 120 allocs/op on a 2-core box; a
+// CPU profile puts the HTTP write syscalls first, then the endpoint loops
+// and JSON.
 func BenchmarkDaemonWarmQuery(b *testing.B) {
 	svc, err := service.New(service.Config{Jobs: runtime.GOMAXPROCS(0)})
 	if err != nil {
@@ -924,7 +927,7 @@ func BenchmarkDaemonWarmQuery(b *testing.B) {
 // handler), and the session TTL janitor ticking in the background. The
 // two benchmarks should be statistically indistinguishable — the
 // admission and deadline machinery must cost channel-op noise, not a
-// visible fraction of the ~400µs query.
+// visible fraction of the ~110µs query.
 func BenchmarkDaemonSheddingOverhead(b *testing.B) {
 	svc, err := service.New(service.Config{
 		Jobs:           runtime.GOMAXPROCS(0),

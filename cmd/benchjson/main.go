@@ -11,13 +11,16 @@
 // Lines that are not benchmark result lines are ignored, so the raw
 // `go test` stream can be piped in unfiltered. Custom b.ReportMetric
 // units (replication_x, max_shard_nodes, ...) are carried through as
-// extra keys when present.
+// extra keys when present. A benchmark run several times (-count=N, or
+// several `go test` streams concatenated) is reported as the median of
+// each metric over its runs.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -78,16 +81,78 @@ func parseLine(line string) (name string, r result, ok bool) {
 	return name, r, true
 }
 
-func main() {
-	out := make(map[string]result)
-	sc := bufio.NewScanner(os.Stdin)
+// median returns the median of xs (the mean of the two middle values for
+// an even count). xs is sorted in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// medianResult folds one benchmark's runs into one result: the median of
+// ns/op, of allocs/op and of each extra unit over the runs reporting it.
+func medianResult(runs []result) result {
+	ns := make([]float64, len(runs))
+	allocs := make([]float64, len(runs))
+	units := map[string]bool{}
+	for i, r := range runs {
+		ns[i], allocs[i] = r.NsOp, r.AllocsOp
+		for u := range r.Extra {
+			units[u] = true
+		}
+	}
+	out := result{NsOp: median(ns), AllocsOp: median(allocs)}
+	names := make([]string, 0, len(units))
+	for u := range units {
+		names = append(names, u)
+	}
+	sort.Strings(names)
+	if len(names) > 0 {
+		out.Extra = make(map[string]float64, len(names))
+	}
+	for _, u := range names {
+		var vals []float64
+		for _, r := range runs {
+			if v, ok := r.Extra[u]; ok {
+				vals = append(vals, v)
+			}
+		}
+		out.Extra[u] = median(vals)
+	}
+	return out
+}
+
+// aggregate reads a `go test -bench` stream and returns one result per
+// benchmark name: the median over every line reporting that benchmark.
+func aggregate(in io.Reader) (map[string]result, error) {
+	runs := make(map[string][]result)
+	var order []string
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		if name, r, ok := parseLine(sc.Text()); ok {
-			out[name] = r
+			if _, seen := runs[name]; !seen {
+				order = append(order, name)
+			}
+			runs[name] = append(runs[name], r)
 		}
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]result, len(order))
+	for _, name := range order {
+		out[name] = medianResult(runs[name])
+	}
+	return out, nil
+}
+
+func main() {
+	out, err := aggregate(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

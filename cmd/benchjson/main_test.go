@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -95,5 +96,35 @@ func TestParseLine(t *testing.T) {
 		if _, leaked := r.Extra["B/op"]; leaked {
 			t.Errorf("%s: B/op leaked into extra metrics", tc.desc)
 		}
+	}
+}
+
+// TestAggregateMedianOfRuns: under -count=3 each benchmark prints three
+// lines; the table must carry the median of every metric (not the last
+// line), with extras folded over the runs that report them.
+func TestAggregateMedianOfRuns(t *testing.T) {
+	stream := strings.Join([]string{
+		"goos: linux",
+		"BenchmarkDaemonWarmQuery-2   200   91000 ns/op   5000 B/op   130 allocs/op",
+		"BenchmarkShardedSTA-2   1   700 ns/op   1.2 replication_x   105 allocs/op",
+		"BenchmarkDaemonWarmQuery-2   200   85000 ns/op   5000 B/op   128 allocs/op",
+		"BenchmarkShardedSTA-2   1   900 ns/op   1.0 replication_x   107 allocs/op",
+		"BenchmarkDaemonWarmQuery-2   200   300000 ns/op   5000 B/op   129 allocs/op",
+		"BenchmarkShardedSTA-2   1   800 ns/op   1.1 replication_x   106 allocs/op",
+		"BenchmarkEven-2   1   10 ns/op   1 allocs/op",
+		"BenchmarkEven-2   1   20 ns/op   2 allocs/op",
+		"PASS",
+	}, "\n")
+	got, err := aggregate(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]result{
+		"BenchmarkDaemonWarmQuery": {NsOp: 91000, AllocsOp: 129},
+		"BenchmarkShardedSTA":      {NsOp: 800, AllocsOp: 106, Extra: map[string]float64{"replication_x": 1.1}},
+		"BenchmarkEven":            {NsOp: 15, AllocsOp: 1.5},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("aggregate = %+v, want %+v", got, want)
 	}
 }

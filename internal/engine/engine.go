@@ -34,8 +34,10 @@ package engine
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -139,6 +141,11 @@ type RepResult struct {
 	// outside an engine (nil eng) still support Edit, uncached.
 	eng *Engine
 	key Key
+
+	// digestOnce guards digest, the lazily computed ArrivalDigest. The
+	// zero value is ready, so results built by struct literal memoize too.
+	digestOnce sync.Once
+	digest     string
 }
 
 // lazyShards materializes the shard view of a disk-restored result on
@@ -208,11 +215,19 @@ func (rr *RepResult) Sharded() bool { return rr.sh != nil || rr.shLazy != nil }
 // slot: Edit on the copy always recomputes instead of hitting the
 // delta-keyed memory tier. Shard state is preserved, so benchmarks can
 // measure the real shard-local derivation cost per call.
+//
+// The copy is built field by field rather than by value so it never copies
+// the digest memo's sync.Once; it computes its own digest on first use.
 func (rr *RepResult) Detached() *RepResult {
-	cp := *rr
-	cp.eng = nil
-	cp.key = Key{}
-	return &cp
+	return &RepResult{
+		Graph:   rr.Graph,
+		An:      rr.An,
+		Arrival: rr.Arrival,
+		Ext:     rr.Ext,
+		sh:      rr.sh,
+		shAuto:  rr.shAuto,
+		shLazy:  rr.shLazy,
+	}
 }
 
 // At materializes the pseudo-STA result for one clock period from the
@@ -220,6 +235,39 @@ func (rr *RepResult) Detached() *RepResult {
 // bit-identical to a from-scratch Analyze at that period.
 func (rr *RepResult) At(period float64) *sta.Result {
 	return rr.An.At(rr.Arrival, period)
+}
+
+// Summary returns At(period).WNS and .TNS, bit for bit, without
+// materializing the per-endpoint slices: the allocation-free form for
+// callers that only report the two totals.
+func (rr *RepResult) Summary(period float64) (wns, tns float64) {
+	return rr.An.Summary(rr.Arrival, period)
+}
+
+// digestChunk is how many arrivals ArrivalDigest encodes per hash Write.
+const digestChunk = 512
+
+// ArrivalDigest is the bit-identity fingerprint of the period-free arrival
+// vector: the hex SHA-256 over the little-endian IEEE-754 bits of every
+// arrival in node order. Two results agree on it iff every arrival time is
+// bit-identical. The arrival vector is immutable, so the digest is
+// computed once per result, on first call, and then served from memory;
+// concurrent first callers share the one computation.
+func (rr *RepResult) ArrivalDigest() string {
+	rr.digestOnce.Do(func() {
+		h := sha256.New()
+		buf := make([]byte, 8*digestChunk)
+		for arr := rr.Arrival; len(arr) > 0; {
+			n := min(len(arr), digestChunk)
+			for i, a := range arr[:n] {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(a))
+			}
+			h.Write(buf[:8*n])
+			arr = arr[n:]
+		}
+		rr.digest = hex.EncodeToString(h.Sum(nil))
+	})
+	return rr.digest
 }
 
 // EditKey derives the cache identity of a delta-edited evaluation: the

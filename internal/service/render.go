@@ -28,9 +28,14 @@ import (
 // themselves run detached to completion and stay cached, so a canceled
 // sweep never poisons or duplicates work for the next caller.
 func BuildSweepReps(ctx context.Context, eng *engine.Engine, name, src string) (map[bog.Variant]*engine.RepResult, error) {
+	return buildReps(ctx, eng, engine.DesignTag(name, src), src)
+}
+
+// buildReps is BuildSweepReps for a caller that already holds the design
+// tag (the service memoizes the corpus tags).
+func buildReps(ctx context.Context, eng *engine.Engine, tag, src string) (map[bog.Variant]*engine.RepResult, error) {
 	lazyDesign := engine.LazyDesign(src)
 	lib := liberty.DefaultPseudoLib()
-	tag := engine.DesignTag(name, src)
 	variants := bog.Variants()
 	reps := make([]*engine.RepResult, len(variants))
 	err := eng.ForEachErr(len(variants), func(vi int) error {
@@ -93,8 +98,8 @@ func RenderSweep(w io.Writer, name string, reps map[bog.Variant]*engine.RepResul
 	for _, p := range periods {
 		fmt.Fprintf(w, "%-10.3f", p)
 		for _, v := range bog.Variants() {
-			r := reps[v].At(p)
-			fmt.Fprintf(w, "  %9.3f  %9.2f", r.WNS, r.TNS)
+			wns, tns := reps[v].Summary(p)
+			fmt.Fprintf(w, "  %9.3f  %9.2f", wns, tns)
 		}
 		fmt.Fprintln(w)
 	}
@@ -104,9 +109,28 @@ func RenderSweep(w io.Writer, name string, reps map[bog.Variant]*engine.RepResul
 // cached representation. Slack is monotonic in the period, so the search
 // brackets [0, hi] with hi doubled until feasible, then bisects to 0.1 ps.
 // ok is false when no feasible period was found below the search ceiling.
+//
+// Each probe evaluates WNS in closed form. An endpoint's slack is
+// fl(fl(p-at)-setup), and both roundings are monotone, so at every period
+// the worst slack belongs to the latest-arriving endpoint: WNS(p) is
+// p - maxAT - setup, bit for bit what At(p).WNS computes, and 0 without
+// endpoints, as At reports. The probe sequence, and so the answer, is the
+// one the per-probe endpoint loop produced.
 func FmaxSearch(rr *engine.RepResult) (period float64, ok bool) {
+	eps := rr.Graph.Endpoints
+	maxAT := math.Inf(-1)
+	for _, ep := range eps {
+		maxAT = max(maxAT, rr.Arrival[ep.D])
+	}
+	setup := rr.An.Lib.Setup
+	wns := func(p float64) float64 {
+		if len(eps) == 0 {
+			return 0
+		}
+		return p - maxAT - setup
+	}
 	hi := 1.0
-	for rr.At(hi).WNS < 0 {
+	for wns(hi) < 0 {
 		hi *= 2
 		if hi > 1e6 {
 			return 0, false
@@ -115,7 +139,7 @@ func FmaxSearch(rr *engine.RepResult) (period float64, ok bool) {
 	lo := 0.0
 	for hi-lo > 1e-4 {
 		mid := (lo + hi) / 2
-		if rr.At(mid).WNS >= 0 {
+		if wns(mid) >= 0 {
 			hi = mid
 		} else {
 			lo = mid

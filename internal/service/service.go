@@ -17,9 +17,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
@@ -174,26 +171,54 @@ type DesignRef struct {
 	Name  string `json:"name,omitempty"` // display name for Src (default "inline")
 }
 
-// resolve turns a DesignRef into the (name, source) pair every engine
-// query keys on, plus the spec Annotate needs.
-func (s *Service) resolve(ref DesignRef) (name, src string, spec designs.Spec, err error) {
+// target is a resolved design: the spec (whose Name every response
+// reports), the Verilog source and the engine design tag derived from both.
+type target struct {
+	spec designs.Spec
+	src  string
+	tag  string
+}
+
+// corpus resolves built-in benchmark names without regenerating or
+// re-hashing their source on every request. The corpus is fixed at build
+// time, so its sources and tags are generated once per process, on the
+// first request that names a benchmark (~1.4 ms for the 21 specs); a
+// daemon serving only inline source never pays it.
+var corpus = sync.OnceValue(func() map[string]target {
+	all := designs.All()
+	out := make(map[string]target, len(all))
+	for _, sp := range all {
+		src := designs.Generate(sp)
+		out[sp.Name] = target{spec: sp, src: src, tag: engine.DesignTag(sp.Name, src)}
+	}
+	return out
+})
+
+// resolve turns a DesignRef into the target every engine query keys on.
+// Built-in benchmarks come from the corpus table; inline source is tagged
+// per request.
+func (s *Service) resolve(ref DesignRef) (target, error) {
 	switch {
 	case ref.Bench != "" && ref.Src != "":
-		return "", "", spec, fmt.Errorf("design wants exactly one of bench or src, got both")
+		return target{}, fmt.Errorf("design wants exactly one of bench or src, got both")
 	case ref.Bench != "":
-		sp, ok := designs.ByName(ref.Bench)
+		t, ok := corpus()[ref.Bench]
 		if !ok {
-			return "", "", spec, fmt.Errorf("unknown benchmark %q", ref.Bench)
+			return target{}, fmt.Errorf("unknown benchmark %q", ref.Bench)
 		}
-		return sp.Name, designs.Generate(sp), sp, nil
+		return t, nil
 	case ref.Src != "":
-		name = ref.Name
+		name := ref.Name
 		if name == "" {
 			name = "inline"
 		}
-		return name, ref.Src, designs.Spec{Name: name, Seed: s.seed}, nil
+		return target{
+			spec: designs.Spec{Name: name, Seed: s.seed},
+			src:  ref.Src,
+			tag:  engine.DesignTag(name, ref.Src),
+		}, nil
 	default:
-		return "", "", spec, fmt.Errorf("design wants one of bench or src")
+		return target{}, fmt.Errorf("design wants one of bench or src")
 	}
 }
 
@@ -205,19 +230,6 @@ func parseVariant(name string) (bog.Variant, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown variant %q (want one of SOG, AIG, AIMG, XAG)", name)
-}
-
-// arrivalDigest is the bit-identity fingerprint carried by eval responses:
-// the SHA-256 over the raw IEEE-754 bits of the arrival vector. Two
-// responses agree on the digest iff every arrival time is bit-identical.
-func arrivalDigest(arrival []float64) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, a := range arrival {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(a))
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // EvalRequest asks for the pseudo-STA verdict of one design at one period.
@@ -245,43 +257,55 @@ type EvalResponse struct {
 	Results []VariantResult `json:"results"`
 }
 
-// Eval answers one single-period query from the resident cache.
+// Eval answers one single-period query from the resident cache. Variants
+// may be named at most once each, so a response never holds more than
+// one entry per representation however long the request's list is.
 func (s *Service) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, error) {
 	if !(req.Period > 0) || math.IsInf(req.Period, 1) {
 		return nil, badRequestf("eval wants a finite positive period, got %v", req.Period)
 	}
-	name, src, _, err := s.resolve(req.Design)
+	t, err := s.resolve(req.Design)
 	if err != nil {
 		return nil, badRequest(err)
-	}
-	reps, err := BuildSweepReps(ctx, s.eng, name, src)
-	if err != nil {
-		return nil, classifyEngineErr(err)
 	}
 	want := bog.Variants()
 	if len(req.Variants) > 0 {
 		want = want[:0]
+		var seen [bog.NumVariants]bool
 		for _, vn := range req.Variants {
 			v, verr := parseVariant(vn)
 			if verr != nil {
 				return nil, badRequest(verr)
 			}
+			if seen[v] {
+				return nil, badRequestf("variant %q is listed more than once", vn)
+			}
+			seen[v] = true
 			want = append(want, v)
 		}
 	}
-	resp := &EvalResponse{Design: name, Period: req.Period}
+	reps, err := buildReps(ctx, s.eng, t.tag, t.src)
+	if err != nil {
+		return nil, classifyEngineErr(err)
+	}
+	resp := &EvalResponse{Design: t.spec.Name, Period: req.Period, Results: make([]VariantResult, 0, len(want))}
 	for _, v := range want {
-		rr := reps[v]
-		r := rr.At(req.Period)
-		resp.Results = append(resp.Results, VariantResult{
-			Variant:       v.String(),
-			WNS:           r.WNS,
-			TNS:           r.TNS,
-			Endpoints:     len(rr.Graph.Endpoints),
-			ArrivalSHA256: arrivalDigest(rr.Arrival),
-		})
+		resp.Results = append(resp.Results, variantResult(v, reps[v], req.Period))
 	}
 	return resp, nil
+}
+
+// variantResult is one representation's verdict at period: WNS/TNS from
+// the allocation-free endpoint loop and the result's memoized digest.
+func variantResult(v bog.Variant, rr *engine.RepResult, period float64) VariantResult {
+	wns, tns := rr.Summary(period)
+	return VariantResult{
+		Variant:       v.String(),
+		WNS:           wns,
+		TNS:           tns,
+		Endpoints:     len(rr.Graph.Endpoints),
+		ArrivalSHA256: rr.ArrivalDigest(),
+	}
 }
 
 // SweepRequest asks for the WNS/TNS-vs-period curve.
@@ -304,17 +328,17 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, 
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	name, src, _, rerr := s.resolve(req.Design)
+	t, rerr := s.resolve(req.Design)
 	if rerr != nil {
 		return nil, badRequest(rerr)
 	}
-	reps, berr := BuildSweepReps(ctx, s.eng, name, src)
+	reps, berr := buildReps(ctx, s.eng, t.tag, t.src)
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}
 	var b strings.Builder
-	RenderSweep(&b, name, reps, periods)
-	return &SweepResponse{Design: name, Points: len(periods), Text: b.String()}, nil
+	RenderSweep(&b, t.spec.Name, reps, periods)
+	return &SweepResponse{Design: t.spec.Name, Points: len(periods), Text: b.String()}, nil
 }
 
 // FmaxRequest asks for the binary-searched maximum frequency.
@@ -339,15 +363,15 @@ type FmaxResponse struct {
 
 // Fmax answers a maximum-frequency query from the resident cache.
 func (s *Service) Fmax(ctx context.Context, req FmaxRequest) (*FmaxResponse, error) {
-	name, src, _, err := s.resolve(req.Design)
+	t, err := s.resolve(req.Design)
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	reps, berr := BuildSweepReps(ctx, s.eng, name, src)
+	reps, berr := buildReps(ctx, s.eng, t.tag, t.src)
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}
-	resp := &FmaxResponse{Design: name}
+	resp := &FmaxResponse{Design: t.spec.Name}
 	for _, v := range bog.Variants() {
 		rr := reps[v]
 		fv := FmaxVariant{Variant: v.String()}
@@ -359,7 +383,7 @@ func (s *Service) Fmax(ctx context.Context, req FmaxRequest) (*FmaxResponse, err
 		resp.Results = append(resp.Results, fv)
 	}
 	var b strings.Builder
-	RenderFmax(&b, name, reps)
+	RenderFmax(&b, t.spec.Name, reps)
 	resp.Text = b.String()
 	return resp, nil
 }
@@ -386,24 +410,24 @@ func (s *Service) Annotate(ctx context.Context, req AnnotateRequest) (*AnnotateR
 	if s.model == nil {
 		return nil, badRequestf("annotate needs a trained model: start the daemon with -model")
 	}
-	name, src, spec, err := s.resolve(req.Design)
+	t, err := s.resolve(req.Design)
 	if err != nil {
 		return nil, badRequest(err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	dd, derr := dataset.BuildFromSource(spec, src,
+	dd, derr := dataset.BuildFromSource(t.spec, t.src,
 		dataset.BuildOptions{Seed: s.seed, Period: req.Period, Engine: s.eng})
 	if derr != nil {
 		return nil, classifyEngineErr(derr)
 	}
 	pred := s.model.Predict(dd)
-	out, aerr := annotate.Annotate(src, pred, annotate.Options{})
+	out, aerr := annotate.Annotate(t.src, pred, annotate.Options{})
 	if aerr != nil {
 		return nil, classifyEngineErr(aerr)
 	}
-	return &AnnotateResponse{Design: name, WNS: pred.WNS, TNS: pred.TNS, Period: pred.Period, Text: out}, nil
+	return &AnnotateResponse{Design: t.spec.Name, WNS: pred.WNS, TNS: pred.TNS, Period: pred.Period, Text: out}, nil
 }
 
 // StatsResponse is the /stats payload: the engine counters plus the
@@ -463,22 +487,22 @@ func (s *Service) SessionOpen(ctx context.Context, req SessionOpenRequest) (*Ses
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	name, src, _, rerr := s.resolve(req.Design)
+	t, rerr := s.resolve(req.Design)
 	if rerr != nil {
 		return nil, badRequest(rerr)
 	}
 	if err := s.checkSessionCap(); err != nil {
 		return nil, err
 	}
-	reps, berr := BuildSweepReps(ctx, s.eng, name, src)
+	reps, berr := buildReps(ctx, s.eng, t.tag, t.src)
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}
 	sess := &session{
-		design:  name,
+		design:  t.spec.Name,
 		variant: v,
 		head:    reps[v],
-		chain:   engine.Key{Design: engine.DesignTag(name, src), Variant: v},
+		chain:   engine.Key{Design: t.tag, Variant: v},
 		lastUse: s.now(),
 	}
 	s.mu.Lock()
@@ -667,17 +691,10 @@ func (s *Service) SessionEval(ctx context.Context, req SessionEvalRequest) (*Ses
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	r := sess.head.At(req.Period)
 	return &SessionEvalResponse{
 		State:  *s.state(req.Session, sess),
 		Period: req.Period,
-		Result: VariantResult{
-			Variant:       sess.variant.String(),
-			WNS:           r.WNS,
-			TNS:           r.TNS,
-			Endpoints:     len(sess.head.Graph.Endpoints),
-			ArrivalSHA256: arrivalDigest(sess.head.Arrival),
-		},
+		Result: variantResult(sess.variant, sess.head, req.Period),
 	}, nil
 }
 

@@ -271,9 +271,17 @@ func (a *Analyzer) finish(r *Result, period float64) {
 	finishResult(a.G, a.Lib, r, period)
 }
 
-// finishResult is the endpoint slack loop shared by the analyzer and the
-// incremental session: identical accumulation, so their Results are
-// bit-identical for the same arrival vector. Pre-sized EndpointAT/Slack
+// Summary returns WNS and TNS at one clock period from a precomputed
+// arrival vector without materializing a Result: the endpoint slack loop
+// runs with nothing stored, so it allocates nothing. The pair is
+// bit-identical to At(arr, period).WNS/TNS — both come from the same loop.
+func (a *Analyzer) Summary(arr []float64, period float64) (wns, tns float64) {
+	return endpointSlack(a.G, a.Lib, arr, period, nil, nil)
+}
+
+// finishResult fills a Result's endpoint arrivals, slacks, WNS and TNS; it
+// is shared by the analyzer and the incremental session, so their Results
+// are bit-identical for the same arrival vector. Pre-sized EndpointAT/Slack
 // slices (AnalyzeBatch's batch-wide scratch) are reused; anything else is
 // allocated fresh.
 func finishResult(g *bog.Graph, lib *liberty.PseudoLib, r *Result, period float64) {
@@ -281,21 +289,32 @@ func finishResult(g *bog.Graph, lib *liberty.PseudoLib, r *Result, period float6
 		r.EndpointAT = make([]float64, len(g.Endpoints))
 		r.Slack = make([]float64, len(g.Endpoints))
 	}
-	r.WNS = math.Inf(1)
-	r.TNS = 0
-	for i, ep := range g.Endpoints {
-		at := r.Arrival[ep.D]
-		r.EndpointAT[i] = at
-		slack := period - at - lib.Setup
-		r.Slack[i] = slack
-		if slack < r.WNS {
-			r.WNS = slack
-		}
-		if slack < 0 {
-			r.TNS += slack
-		}
-	}
+	r.WNS, r.TNS = endpointSlack(g, lib, r.Arrival, period, r.EndpointAT, r.Slack)
+}
+
+// endpointSlack is the one endpoint slack loop behind every WNS/TNS this
+// package reports. TNS accumulates in endpoint order — the canonical order
+// every bit-identity test pins. epAT and slack, when non-nil, receive the
+// per-endpoint arrivals and slacks; Summary passes nil and stores nothing.
+// A design without endpoints reports WNS = TNS = 0.
+func endpointSlack(g *bog.Graph, lib *liberty.PseudoLib, arr []float64, period float64, epAT, slack []float64) (wns, tns float64) {
 	if len(g.Endpoints) == 0 {
-		r.WNS = 0
+		return 0, 0
 	}
+	wns = math.Inf(1)
+	for i, ep := range g.Endpoints {
+		at := arr[ep.D]
+		s := period - at - lib.Setup
+		if epAT != nil {
+			epAT[i] = at
+			slack[i] = s
+		}
+		if s < wns {
+			wns = s
+		}
+		if s < 0 {
+			tns += s
+		}
+	}
+	return wns, tns
 }
